@@ -74,7 +74,7 @@ fn bench_distribute_modes(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("streaming", &name), &instance, |b, i| {
-            b.iter(|| policy.distribute_stream(i, 1).stats(i).total_assigned)
+            b.iter(|| policy.distribute_stream(i, 1).stats().total_assigned)
         });
     }
     group.finish();

@@ -146,6 +146,27 @@ impl Instance {
         inst
     }
 
+    /// Builds an instance in bulk. The fact set is bulk-loaded instead of
+    /// grown one insertion at a time, which is linear when `facts` arrive
+    /// in ascending order — the order every instance iterates in, so chunks
+    /// cut from an instance qualify. Any order and repeats are accepted
+    /// (they cost a sort); the result equals [`Instance::from_facts`].
+    pub fn from_sorted_facts<I: IntoIterator<Item = Fact>>(facts: I) -> Instance {
+        let facts: BTreeSet<Fact> = facts.into_iter().collect();
+        let mut by_relation: BTreeMap<Symbol, Vec<Fact>> = BTreeMap::new();
+        for fact in &facts {
+            by_relation
+                .entry(fact.relation)
+                .or_default()
+                .push(fact.clone());
+        }
+        Instance {
+            facts,
+            by_relation,
+            ..Instance::default()
+        }
+    }
+
     /// The complete instance over `schema` with values drawn from `values`:
     /// every relation contains every possible tuple.
     ///
@@ -195,18 +216,29 @@ impl Instance {
     /// growing an instance — the hot path of delta-driven multi-round
     /// evaluation — never throws away index work. Only [`Instance::remove`]
     /// still invalidates.
+    ///
+    /// The set takes a copy before membership is known: one tree search
+    /// instead of two, the cheaper order when most inserted facts are new.
+    /// Where most facts are already present, extend from borrowed facts
+    /// instead (`Extend<&Fact>`), which searches first and copies only the
+    /// new ones.
     pub fn insert(&mut self, fact: Fact) -> bool {
-        if self.facts.insert(fact.clone()) {
-            let rows = self.by_relation.entry(fact.relation).or_default();
-            if let Some(indexes) = self.indexes.get_mut() {
-                let row = u32::try_from(rows.len()).expect("relation larger than u32::MAX facts");
-                indexes.entry(fact.relation).or_default().append(row, &fact);
-            }
-            rows.push(fact);
-            true
-        } else {
-            false
+        if !self.facts.insert(fact.clone()) {
+            return false;
         }
+        self.append_row(fact);
+        true
+    }
+
+    /// Appends a fact that was just added to the set to its relation's
+    /// rows, maintaining built indexes.
+    fn append_row(&mut self, fact: Fact) {
+        let rows = self.by_relation.entry(fact.relation).or_default();
+        if let Some(indexes) = self.indexes.get_mut() {
+            let row = u32::try_from(rows.len()).expect("relation larger than u32::MAX facts");
+            indexes.entry(fact.relation).or_default().append(row, &fact);
+        }
+        rows.push(fact);
     }
 
     /// Removes a fact. Returns `true` if it was present.
@@ -346,9 +378,7 @@ impl Instance {
     /// Set union.
     pub fn union(&self, other: &Instance) -> Instance {
         let mut out = self.clone();
-        for f in other.facts() {
-            out.insert(f.clone());
-        }
+        out.extend(other.facts());
         out
     }
 
@@ -400,6 +430,20 @@ impl Extend<Fact> for Instance {
     fn extend<T: IntoIterator<Item = Fact>>(&mut self, iter: T) {
         for f in iter {
             self.insert(f);
+        }
+    }
+}
+
+/// Inserts borrowed facts, copying only those not already present: the
+/// cheap way to merge facts that are mostly known already, such as node
+/// outputs that repeat across nodes or a round's feedback into its state.
+impl<'a> Extend<&'a Fact> for Instance {
+    fn extend<T: IntoIterator<Item = &'a Fact>>(&mut self, iter: T) {
+        for f in iter {
+            if !self.contains(f) {
+                self.facts.insert(f.clone());
+                self.append_row(f.clone());
+            }
         }
     }
 }

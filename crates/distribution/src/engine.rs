@@ -13,14 +13,17 @@
 //! no longer spawns hundreds of threads, and a skewed node keeps only one
 //! worker busy while the rest drain the remaining chunks.
 //!
-//! The reshuffle phase itself has two axes of configuration:
-//! [`OneRoundEngine::distribute_workers`] shards the policy's `nodes_for`
-//! calls over threads, and [`OneRoundEngine::streaming`] switches from the
-//! fully materialized [`Distribution`](crate::Distribution) to a
-//! [`ChunkStream`](crate::ChunkStream) of borrowed fact slices: each worker
+//! The reshuffle phase is one borrowed-slice pass,
+//! [`DistributionPolicy::distribute_stream`], sharded over threads by
+//! [`OneRoundEngine::distribute_workers`]. What differs between paths is
+//! when owned chunks exist. A transport round builds each node's chunk
+//! from its slice just before [`Transport::send_chunk`] hands it over, so
+//! the transport holds every chunk until its barrier. The
+//! [`OneRoundEngine::streaming`] path skips the transport: each pool worker
 //! materializes one node's chunk at a time and drops it after evaluating,
 //! so the peak number of owned chunks is the pool size, not the network
-//! size ([`OneRoundOutcome::peak_chunks`] reports the difference).
+//! size ([`OneRoundOutcome::peak_chunks`] reports the difference). The
+//! reshuffle statistics come from the counts the stream kept while routing.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,13 +56,14 @@ pub struct OneRoundOutcome {
     /// Number of pool workers used for local evaluation (1 = sequential).
     pub workers: usize,
     /// Peak number of **owned** chunk instances alive at once during the
-    /// round — the allocation proxy of the reshuffle path. Materialized
-    /// distribution holds every chunk simultaneously (`= nodes`); in
-    /// streaming mode this is the *observed* high-water mark of live
-    /// chunks, at most one per pool worker.
+    /// round — the allocation proxy of the reshuffle path. A transport
+    /// round hands every chunk to the transport, which holds them all until
+    /// its barrier (`= nodes`); in streaming mode this is the *observed*
+    /// high-water mark of live chunks, at most one per pool worker.
     pub peak_chunks: usize,
-    /// Whether the reshuffle streamed borrowed chunks instead of
-    /// materializing a full [`Distribution`](crate::Distribution).
+    /// Whether the round skipped the transport and had its pool workers
+    /// build each chunk only while evaluating it
+    /// ([`OneRoundEngine::streaming`]).
     pub streamed: bool,
     /// Bytes actually serialized onto a process boundary this round, in
     /// both directions (request frames plus the result frames they
@@ -124,7 +128,7 @@ pub struct OneRoundEngine<'a, P: DistributionPolicy + ?Sized> {
 
 impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     /// Creates an engine over the given policy (sequential local evaluation,
-    /// sequential materialized reshuffle).
+    /// sequential reshuffle through an in-memory transport).
     pub fn new(policy: &'a P) -> OneRoundEngine<'a, P> {
         OneRoundEngine {
             policy,
@@ -157,18 +161,19 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     }
 
     /// Sets the number of threads sharding the reshuffle phase itself
-    /// (`nodes_for` calls). `1` (the default) keeps the reshuffle on the
-    /// calling thread; the result is identical either way.
+    /// ([`DistributionPolicy::route`] calls). `1` (the default) keeps the
+    /// reshuffle on the calling thread; the result is identical either way.
     pub fn distribute_workers(mut self, workers: usize) -> Self {
         self.distribute_workers = workers.max(1);
         self
     }
 
-    /// Switches the reshuffle to streaming mode: chunks are handed to the
+    /// Switches the round to streaming mode: chunks are handed to the
     /// evaluation workers as borrowed fact slices and materialized one at a
     /// time per worker, so peak memory stops scaling with `nodes × facts`.
-    /// The outcome is identical to materialized mode except for
-    /// [`OneRoundOutcome::peak_chunks`] and timings.
+    /// The outcome is identical to the transport path except for
+    /// [`OneRoundOutcome::peak_chunks`], the transport's index-cache
+    /// counters and timings.
     pub fn streaming(mut self, enabled: bool) -> Self {
         self.streaming = enabled;
         self
@@ -189,18 +194,14 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         if self.streaming {
             self.evaluate_streaming(query, instance)
         } else {
-            self.evaluate_materialized(query, instance)
+            self.evaluate_in_memory(query, instance)
         }
     }
 
-    /// The materialized path: reshuffle into owned chunks, then ship them
-    /// through an [`InMemoryTransport`] whose barrier drains the same
-    /// bounded worker pool this engine always used.
-    fn evaluate_materialized(
-        &self,
-        query: &ConjunctiveQuery,
-        instance: &Instance,
-    ) -> OneRoundOutcome {
+    /// The default path: [`OneRoundEngine::evaluate_via`] through an
+    /// [`InMemoryTransport`] whose barrier drains the engine's bounded
+    /// worker pool.
+    fn evaluate_in_memory(&self, query: &ConjunctiveQuery, instance: &Instance) -> OneRoundOutcome {
         let mut transport = InMemoryTransport::new(self.workers);
         self.evaluate_via(&mut transport, 0, query, instance)
             .expect("the in-memory transport is infallible")
@@ -224,22 +225,22 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     ) -> Result<OneRoundOutcome, TransportError> {
         let _round_span = obs::span!("one_round", round = round, facts = instance.len());
         let distribute_start = Instant::now();
-        let distribution = {
+        let stream = {
             let _span = obs::span!("distribute", facts = instance.len());
             self.policy
-                .distribute_parallel(instance, self.distribute_workers)
+                .distribute_stream(instance, self.distribute_workers)
         };
-        let stats = distribution.stats(instance);
+        let stats = stream.stats();
         let distribute_time = distribute_start.elapsed();
 
         let local_start = Instant::now();
         transport.begin_round(round, query, self.eval_options)?;
         let mut per_node_load = BTreeMap::new();
         let mut nodes = Vec::new();
-        for (node, chunk) in distribution.into_chunks() {
-            per_node_load.insert(node, chunk.len());
+        for node in stream.nodes() {
+            per_node_load.insert(node, stream.len_of(node));
             nodes.push(node);
-            transport.send_chunk(node, chunk)?;
+            transport.send_chunk(node, stream.for_node_lazy(node))?;
         }
         transport.barrier()?;
         let mut local_results = Vec::with_capacity(nodes.len());
@@ -288,12 +289,12 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
     ) -> Result<OneRoundOutcome, TransportError> {
         let _round_span = obs::span!("delta_round", round = round, delta_facts = delta.len());
         let distribute_start = Instant::now();
-        let distribution = {
+        let stream = {
             let _span = obs::span!("distribute", facts = delta.len());
             self.policy
-                .distribute_parallel(delta, self.distribute_workers)
+                .distribute_stream(delta, self.distribute_workers)
         };
-        let stats = distribution.stats(delta);
+        let stats = stream.stats();
         let distribute_time = distribute_start.elapsed();
 
         let local_start = Instant::now();
@@ -301,14 +302,15 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         let mut per_node_load = BTreeMap::new();
         let mut sent = Vec::new();
         let mut skipped = Vec::new();
-        for (node, chunk) in distribution.into_chunks() {
-            per_node_load.insert(node, chunk.len());
-            if round > 0 && chunk.is_empty() {
+        for node in stream.nodes() {
+            let load = stream.len_of(node);
+            per_node_load.insert(node, load);
+            if round > 0 && load == 0 {
                 skipped.push(node);
                 continue;
             }
             sent.push(node);
-            transport.send_delta(node, chunk)?;
+            transport.send_delta(node, stream.for_node_lazy(node))?;
         }
         transport.barrier()?;
         let mut local_results = Vec::with_capacity(sent.len() + skipped.len());
@@ -348,7 +350,7 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         let stream = self
             .policy
             .distribute_stream(instance, self.distribute_workers);
-        let stats = stream.stats(instance);
+        let stats = stream.stats();
         let distribute_time = distribute_start.elapsed();
         let nodes: Vec<Node> = stream.nodes().collect();
 
@@ -409,7 +411,7 @@ impl<'a, P: DistributionPolicy + ?Sized> OneRoundEngine<'a, P> {
         for (node, local, took) in local_results {
             per_node_output.insert(node, local.len());
             per_node_time.insert(node, took);
-            result.extend(local.facts().cloned());
+            result.extend(local.facts());
         }
         OneRoundOutcome {
             result,

@@ -120,6 +120,11 @@ impl ExplicitPolicy {
         p
     }
 
+    /// The node set of `fact`: its explicit assignment, else the default.
+    fn nodes_of(&self, fact: &Fact) -> &BTreeSet<Node> {
+        self.assignments.get(fact).unwrap_or(&self.default_nodes)
+    }
+
     /// The facts with explicit assignments (including skipped ones).
     pub fn listed_facts(&self) -> impl Iterator<Item = &Fact> + '_ {
         self.assignments.keys()
@@ -142,10 +147,12 @@ impl DistributionPolicy for ExplicitPolicy {
     }
 
     fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node> {
-        self.assignments
-            .get(fact)
-            .cloned()
-            .unwrap_or_else(|| self.default_nodes.clone())
+        self.nodes_of(fact).clone()
+    }
+
+    fn route(&self, fact: &Fact, out: &mut Vec<Node>) {
+        out.clear();
+        out.extend(self.nodes_of(fact));
     }
 }
 

@@ -155,6 +155,10 @@ impl DistributionPolicy for HypercubePolicy {
     fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node> {
         self.inner.nodes_for(fact)
     }
+
+    fn route(&self, fact: &Fact, out: &mut Vec<Node>) {
+        self.inner.route(fact, out);
+    }
 }
 
 /// The family `H_Q` of all Hypercube distribution policies of a query.

@@ -13,14 +13,15 @@
 //!   predicates realized as [`HashScheme`]s,
 //! * [`HypercubePolicy`] and [`HypercubeFamily`] — the Hypercube
 //!   distributions of Section 5.2,
-//! * [`Distribution`] — the result of reshuffling an instance
-//!   (`dist_P(I)`), with load and replication statistics, and
-//!   [`ChunkStream`] — its streaming counterpart of borrowed per-node fact
-//!   slices (owned chunks are materialized one at a time, on demand),
+//! * [`ChunkStream`] — the reshuffle of an instance (`dist_P(I)`) as
+//!   borrowed per-node fact slices, routed fact by fact through
+//!   [`DistributionPolicy::route`] with load and replication statistics
+//!   counted on the way (owned chunks are built one at a time, on demand),
+//!   and [`Distribution`] — the same reshuffle with every chunk
+//!   materialized,
 //! * [`OneRoundEngine`] — the simulated one-round evaluation algorithm:
-//!   reshuffle (optionally sharded over threads and/or streamed), evaluate
-//!   locally at every node (optionally on a bounded worker pool), union the
-//!   results,
+//!   reshuffle (optionally sharded over threads), evaluate locally at every
+//!   node (optionally on a bounded worker pool), union the results,
 //! * [`MultiRoundEngine`] — the iterated (MPC-style multi-round) algorithm:
 //!   distribute→evaluate cycles under a per-round [`RoundSchedule`], with
 //!   an optional feedback relation, fixpoint detection and a round cap;

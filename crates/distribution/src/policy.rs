@@ -1,4 +1,14 @@
 //! The distribution-policy abstraction.
+//!
+//! A policy answers one question, `P(f)`: which nodes receive fact `f`.
+//! [`DistributionPolicy::nodes_for`] answers it as an owned set, for the
+//! decision procedures. [`DistributionPolicy::route`] answers it into a
+//! buffer the caller reuses, for the reshuffle, which asks it once per
+//! fact. Rule-based and Hypercube policies override `route` with their
+//! compiled form (see the `rules` module): a row-major node table indexed
+//! by the mixed-radix address, so routing a fact allocates nothing.
+//! Every reshuffle, [`DistributionPolicy::distribute`] included, is one
+//! [`ChunkStream`] of borrowed per-node fact slices built from `route`.
 
 use std::collections::BTreeSet;
 
@@ -14,10 +24,17 @@ use crate::network::{Network, Node};
 /// Hypercube distributions do for facts irrelevant to their query).
 ///
 /// Policies are required to be [`Sync`]: the reshuffle phase shards
-/// `nodes_for` calls across worker threads ([`distribute_parallel`]) and the
+/// [`route`] calls across worker threads ([`distribute_stream`]) and the
 /// evaluation engine shares the policy with its worker pool.
 ///
-/// [`distribute_parallel`]: DistributionPolicy::distribute_parallel
+/// Every reshuffle goes through one implementation, [`ChunkStream::build`]:
+/// it routes each fact into a reused buffer, sorts and dedups the nodes,
+/// and records borrowed per-node fact slices plus the counts its
+/// [`ChunkStream::stats`] report. `distribute` and `distribute_parallel`
+/// are that stream with its chunks materialized.
+///
+/// [`route`]: DistributionPolicy::route
+/// [`distribute_stream`]: DistributionPolicy::distribute_stream
 pub trait DistributionPolicy: Sync {
     /// The network the policy distributes over.
     fn network(&self) -> &Network;
@@ -25,35 +42,40 @@ pub trait DistributionPolicy: Sync {
     /// The set of nodes responsible for `fact` (`P(f)`).
     fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node>;
 
+    /// Routes `fact`: clears `out` and fills it with the nodes of `P(f)`,
+    /// in any order and possibly with repeats. This is the reshuffle's
+    /// per-fact call; the caller reuses one buffer for every fact, so a
+    /// policy that overrides it (the compiled [`RuleBasedPolicy`] and
+    /// [`HypercubePolicy`]) routes without allocating. The default copies
+    /// [`DistributionPolicy::nodes_for`].
+    ///
+    /// [`RuleBasedPolicy`]: crate::RuleBasedPolicy
+    /// [`HypercubePolicy`]: crate::HypercubePolicy
+    fn route(&self, fact: &Fact, out: &mut Vec<Node>) {
+        out.clear();
+        out.extend(self.nodes_for(fact));
+    }
+
     /// Distributes an instance: computes `dist_P(I)`, the function mapping
-    /// every node to its data chunk.
+    /// every node to its data chunk. This is the streaming reshuffle
+    /// ([`DistributionPolicy::distribute_stream`]) with every chunk
+    /// materialized.
     fn distribute(&self, instance: &Instance) -> Distribution {
-        let mut dist = Distribution::empty(self.network());
-        for fact in instance.facts() {
-            for node in self.nodes_for(fact) {
-                dist.assign(node, fact.clone());
-            }
-        }
-        dist
+        self.distribute_stream(instance, 1).materialize()
     }
 
-    /// Like [`DistributionPolicy::distribute`], but shards the input facts
-    /// over up to `workers` scoped threads, each computing `nodes_for` for
-    /// its contiguous shard. The resulting distribution is identical to the
-    /// single-threaded one; only the reshuffle wall-clock changes. With
-    /// `workers <= 1` this is exactly the sequential `distribute`.
+    /// Like [`DistributionPolicy::distribute`], but shards the routing over
+    /// up to `workers` scoped threads (see [`ChunkStream::build`]). The
+    /// resulting distribution is identical; only the reshuffle wall-clock
+    /// changes.
     fn distribute_parallel(&self, instance: &Instance, workers: usize) -> Distribution {
-        if workers <= 1 {
-            self.distribute(instance)
-        } else {
-            ChunkStream::build(self, instance, workers).materialize()
-        }
+        self.distribute_stream(instance, workers).materialize()
     }
 
-    /// Streaming reshuffle: computes `dist_P(I)` as borrowed per-node fact
-    /// slices instead of owned chunks (see [`ChunkStream`]). With
-    /// `workers > 1` the `nodes_for` calls are sharded over that many
-    /// threads, as in [`DistributionPolicy::distribute_parallel`].
+    /// The reshuffle: computes `dist_P(I)` as borrowed per-node fact slices
+    /// (see [`ChunkStream`]), from which callers build each node's owned
+    /// chunk only when they need it. With `workers > 1` the routing is
+    /// sharded over that many threads.
     fn distribute_stream<'a>(&self, instance: &'a Instance, workers: usize) -> ChunkStream<'a> {
         ChunkStream::build(self, instance, workers)
     }
@@ -62,10 +84,14 @@ pub trait DistributionPolicy: Sync {
     /// even visiting) any other node's chunk: the lazy counterpart of
     /// `distribute(instance).chunk(node)`.
     fn for_node_lazy(&self, instance: &Instance, node: Node) -> Instance {
-        Instance::from_facts(
+        let mut nodes = Vec::new();
+        Instance::from_sorted_facts(
             instance
                 .facts()
-                .filter(|f| self.nodes_for(f).contains(&node))
+                .filter(|f| {
+                    self.route(f, &mut nodes);
+                    nodes.contains(&node)
+                })
                 .cloned(),
         )
     }

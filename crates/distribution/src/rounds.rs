@@ -45,6 +45,32 @@ use crate::transport::{InMemoryTransport, Transport, TransportError};
 /// depending on it.
 pub type TransferOracle<'o> = &'o mut dyn FnMut(&ConjunctiveQuery, &ConjunctiveQuery) -> bool;
 
+/// What a round loop remembers to detect its fixpoint (see
+/// [`MultiRoundEngine::advance_round`]).
+enum Fixpoint {
+    /// Carried input: states only grow, so the current state is also every
+    /// fact seen, and a round that adds nothing to it ends the run.
+    Growing,
+    /// Dataflow: every state reached, for exact cycle detection, and every
+    /// fact seen (the reported `final_state`). States over a fixed active
+    /// domain are finite, so a repeat — and hence termination — is
+    /// guaranteed.
+    Cycles {
+        visited: BTreeSet<BTreeSet<Fact>>,
+        seen: Instance,
+    },
+}
+
+impl Fixpoint {
+    /// Every fact the run has seen, given its last `state`.
+    fn final_state(self, state: Instance) -> Instance {
+        match self {
+            Fixpoint::Growing => state,
+            Fixpoint::Cycles { seen, .. } => seen,
+        }
+    }
+}
+
 /// A per-round policy schedule: round `r` uses the `r`-th policy, and the
 /// last policy repeats once the schedule is exhausted (so a one-element
 /// schedule is simply "the same policy every round").
@@ -410,62 +436,81 @@ impl<'a> MultiRoundEngine<'a> {
         }
     }
 
+    /// The fixpoint bookkeeping a run starts with from `instance`.
+    fn fixpoint_from(&self, instance: &Instance) -> Fixpoint {
+        if self.carry_input {
+            Fixpoint::Growing
+        } else {
+            Fixpoint::Cycles {
+                visited: BTreeSet::from([instance.to_set()]),
+                seen: instance.clone(),
+            }
+        }
+    }
+
     /// One iteration step shared by [`MultiRoundEngine::evaluate`] and
     /// [`MultiRoundEngine::reference_fixpoint`], so the distributed run and
     /// its centralized yardstick can never drift apart in their
     /// carry/feedback/fixpoint semantics. Merges a round's `output` into
-    /// the accumulated `result`/`seen` and advances `state`, reporting
-    /// whether iteration has terminated: the next state was already
-    /// `visited`, so no future round can ever produce a new fact.
+    /// the accumulated `result` and advances `state`, reporting whether
+    /// iteration has terminated: the next state was already reached, so no
+    /// future round can ever produce a new fact.
     ///
-    /// Termination tests whole **states**, not individual facts. With
-    /// carried input states grow monotonically, so a revisited state is
-    /// exactly "this round contributed nothing new"; in dataflow mode
-    /// (`carry_input = false`) states need not grow, and a round whose
-    /// facts are all individually stale can still be a *novel combination*
-    /// whose evaluation derives new facts — only an exact state repeat
-    /// (a cycle) guarantees the run is exhausted.
+    /// With carried input the next state is `state ∪ contribution`, so the
+    /// states form an increasing chain `s₀ ⊆ s₁ ⊆ … ⊆ s_k = state`. A next
+    /// state equal to some earlier `s_j` satisfies `s_j ⊆ state ⊆ next =
+    /// s_j`, so the only state it can repeat is the current one: the run
+    /// has terminated exactly when the contribution adds no fact to
+    /// `state`. That test needs no snapshot, and `state` grows in place.
+    /// In dataflow mode (`carry_input = false`) states need not grow, and a
+    /// round whose facts are all individually stale can still be a *novel
+    /// combination* whose evaluation derives new facts — only an exact
+    /// state repeat (a cycle) guarantees the run is exhausted, so that mode
+    /// keeps every state it reached.
     fn advance_round(
         &self,
         output: &Instance,
         result: &mut Instance,
-        seen: &mut Instance,
         state: &mut Instance,
-        visited: &mut BTreeSet<BTreeSet<Fact>>,
+        fixpoint: &mut Fixpoint,
     ) -> bool {
         let contribution = self.feedback_facts(output);
-        result.extend(output.facts().cloned());
-        let next = if self.carry_input {
-            state.union(&contribution)
-        } else {
-            contribution
-        };
-        seen.extend(next.facts().cloned());
-        if !visited.insert(next.to_set()) {
-            return true;
+        result.extend(output.facts());
+        match fixpoint {
+            Fixpoint::Growing => {
+                let before = state.len();
+                state.extend(contribution.facts());
+                state.len() == before
+            }
+            Fixpoint::Cycles { visited, seen } => {
+                seen.extend(contribution.facts());
+                if !visited.insert(contribution.to_set()) {
+                    return true;
+                }
+                *state = contribution;
+                false
+            }
         }
-        *state = next;
-        false
     }
 
     /// Runs up to [`MultiRoundEngine::max_rounds`] distribute→local-eval
     /// cycles for `query` starting from `instance`.
     pub fn evaluate(&self, query: &ConjunctiveQuery, instance: &Instance) -> MultiRoundOutcome {
-        if self.semi_naive {
-            // Incremental rounds need per-node state that outlives a round,
-            // so the whole run shares one transport.
-            let mut transport = InMemoryTransport::new(self.workers);
+        if self.streaming && !self.semi_naive {
             return self
-                .run_rounds_delta(&mut transport, query, instance)
+                .run_rounds(query, instance, |engine, _round, query, state| {
+                    Ok(engine
+                        .workers(self.workers)
+                        .streaming(true)
+                        .evaluate(query, state))
+                })
                 .expect("in-memory rounds are infallible");
         }
-        self.run_rounds(query, instance, |engine, _round, query, state| {
-            Ok(engine
-                .workers(self.workers)
-                .streaming(self.streaming)
-                .evaluate(query, state))
-        })
-        .expect("in-memory rounds are infallible")
+        // Every round goes through one transport, which also keeps the
+        // per-node state of incremental rounds between rounds.
+        let mut transport = InMemoryTransport::new(self.workers);
+        self.evaluate_via(&mut transport, query, instance)
+            .expect("in-memory rounds are infallible")
     }
 
     /// Like [`MultiRoundEngine::evaluate`], but every round ships its
@@ -761,12 +806,7 @@ impl<'a> MultiRoundEngine<'a> {
         ) -> Result<OneRoundOutcome, TransportError>,
     ) -> Result<MultiRoundOutcome, TransportError> {
         let mut state = instance.clone();
-        // Every round-instance state ever reached (for cycle detection) and
-        // every fact ever seen (the reported `final_state`). States over a
-        // fixed active domain are finite, so a repeat — and hence
-        // termination — is guaranteed even in dataflow mode.
-        let mut visited = BTreeSet::from([instance.to_set()]);
-        let mut seen = instance.clone();
+        let mut fixpoint = self.fixpoint_from(instance);
         let mut result = Instance::new();
         let mut rounds = Vec::new();
         let mut converged = false;
@@ -779,13 +819,7 @@ impl<'a> MultiRoundEngine<'a> {
                 .distribute_workers(self.distribute_workers)
                 .eval_options(self.eval_options);
             let outcome = eval_round(engine, round, query, &state)?;
-            let done = self.advance_round(
-                &outcome.result,
-                &mut result,
-                &mut seen,
-                &mut state,
-                &mut visited,
-            );
+            let done = self.advance_round(&outcome.result, &mut result, &mut state, &mut fixpoint);
             rounds.push(outcome);
             round_latency
                 .record(u64::try_from(round_started.elapsed().as_micros()).unwrap_or(u64::MAX));
@@ -797,7 +831,7 @@ impl<'a> MultiRoundEngine<'a> {
         Ok(MultiRoundOutcome {
             rounds,
             result,
-            final_state: seen,
+            final_state: fixpoint.final_state(state),
             converged,
             elided_reshuffles: 0,
             reshard_rounds: Vec::new(),
@@ -815,14 +849,13 @@ impl<'a> MultiRoundEngine<'a> {
         instance: &Instance,
     ) -> IteratedFixpoint {
         let mut state = instance.clone();
-        let mut visited = BTreeSet::from([instance.to_set()]);
-        let mut seen = instance.clone();
+        let mut fixpoint = self.fixpoint_from(instance);
         let mut result = Instance::new();
         let mut rounds = 0usize;
         loop {
             rounds += 1;
             let output = evaluate(query, &state);
-            if self.advance_round(&output, &mut result, &mut seen, &mut state, &mut visited) {
+            if self.advance_round(&output, &mut result, &mut state, &mut fixpoint) {
                 break;
             }
         }

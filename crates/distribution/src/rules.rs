@@ -10,11 +10,24 @@
 //! component is the hash of the value bound to `x_i` — or `bucket*_i(z_i)` —
 //! the i-th address component ranges over all buckets. A fact matching the
 //! rule body is sent to every node whose address satisfies the constraints.
+//!
+//! ## Compiled routing
+//!
+//! [`RuleBasedPolicy::new`] compiles each rule once: its relation and
+//! arity, the pairs of argument positions a repeated variable forces equal,
+//! and per address dimension either the argument position it hashes or
+//! "any bucket". The nodes live in a row-major table indexed by the
+//! mixed-radix address `a₁·stride₁ + … + a_k·stride_k`, where the last
+//! dimension varies fastest. [`DistributionPolicy::route`] then sends a
+//! fact by comparing a few positions, hashing one value per hashed
+//! dimension, adding strides, and pushing table entries for every bucket of
+//! the `bucket*` dimensions into a buffer the caller reuses — no binding
+//! map, no address vectors, no allocation per fact.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use cq::{Atom, Fact, Value, Variable};
+use cq::{Atom, Fact, Symbol, Variable};
 
 use crate::hash::HashScheme;
 use crate::network::{Network, Node};
@@ -98,14 +111,76 @@ impl std::error::Error for RulePolicyError {}
 /// Maximum number of nodes a rule-based policy will materialize.
 const MAX_NETWORK_SIZE: usize = 1 << 20;
 
+/// A rule compiled for routing: everything [`RuleBasedPolicy::route`]
+/// needs, resolved from variables to argument positions once, when the
+/// policy is built.
+#[derive(Clone, Debug)]
+struct CompiledRule {
+    relation: Symbol,
+    arity: usize,
+    /// Pairs of argument positions that must carry equal values, one per
+    /// repeated occurrence of a variable (paired with its first occurrence).
+    equal: Vec<(usize, usize)>,
+    /// Per address dimension: the argument position whose value it hashes,
+    /// or `None` for `bucket*` (any bucket).
+    dimensions: Vec<Option<usize>>,
+}
+
+impl CompiledRule {
+    fn compile(rule: &DistributionRule) -> CompiledRule {
+        let args = &rule.atom.args;
+        let first = |var: Variable| {
+            args.iter()
+                .position(|&a| a == var)
+                .expect("address variables are checked to occur in the atom")
+        };
+        CompiledRule {
+            relation: rule.atom.relation,
+            arity: args.len(),
+            equal: args
+                .iter()
+                .enumerate()
+                .filter_map(|(position, &var)| {
+                    let first = first(var);
+                    (first != position).then_some((first, position))
+                })
+                .collect(),
+            dimensions: rule
+                .address
+                .iter()
+                .map(|term| match term {
+                    AddressTerm::HashOfVar(var) => Some(first(*var)),
+                    AddressTerm::AnyBucket => None,
+                })
+                .collect(),
+        }
+    }
+
+    /// Whether `fact` matches the rule's atom: same relation and arity, and
+    /// equal values wherever the atom repeats a variable.
+    fn matches(&self, fact: &Fact) -> bool {
+        self.relation == fact.relation
+            && self.arity == fact.arity()
+            && self
+                .equal
+                .iter()
+                .all(|&(i, j)| fact.values[i] == fact.values[j])
+    }
+}
+
 /// A distribution policy defined by declarative rules over a hashed address
-/// space (the specification formalism of Section 5.2).
+/// space (the specification formalism of Section 5.2). Its routing is
+/// compiled when it is built (see the module docs).
 #[derive(Clone, Debug)]
 pub struct RuleBasedPolicy {
     rules: Vec<DistributionRule>,
     schemes: Vec<HashScheme>,
     network: Network,
-    nodes_by_address: BTreeMap<Vec<usize>, Node>,
+    compiled: Vec<CompiledRule>,
+    /// Per dimension, the distance in `nodes` between adjacent buckets.
+    strides: Vec<usize>,
+    /// Every node, in row-major address order.
+    nodes: Vec<Node>,
 }
 
 impl RuleBasedPolicy {
@@ -133,25 +208,35 @@ impl RuleBasedPolicy {
                 }
             }
         }
-        let size: usize = schemes.iter().map(HashScheme::buckets).product();
+        let size = schemes
+            .iter()
+            .try_fold(1usize, |size, scheme| size.checked_mul(scheme.buckets()))
+            .unwrap_or(usize::MAX);
         if size == 0 || size > MAX_NETWORK_SIZE {
             return Err(RulePolicyError::AddressSpaceTooLarge {
                 size,
                 limit: MAX_NETWORK_SIZE,
             });
         }
-        let mut nodes_by_address = BTreeMap::new();
-        let mut network = Network::default();
-        for address in cartesian(&schemes.iter().map(HashScheme::buckets).collect::<Vec<_>>()) {
-            let node = Node::from_address(&address);
-            network.add(node);
-            nodes_by_address.insert(address, node);
+        let mut strides = vec![1; schemes.len()];
+        for d in (0..schemes.len().saturating_sub(1)).rev() {
+            strides[d] = strides[d + 1] * schemes[d + 1].buckets();
+        }
+        let mut address = vec![0; schemes.len()];
+        let mut nodes = Vec::with_capacity(size);
+        for index in 0..size {
+            for (d, scheme) in schemes.iter().enumerate() {
+                address[d] = index / strides[d] % scheme.buckets();
+            }
+            nodes.push(Node::from_address(&address));
         }
         Ok(RuleBasedPolicy {
+            compiled: rules.iter().map(CompiledRule::compile).collect(),
+            network: nodes.iter().copied().collect(),
             rules,
             schemes,
-            network,
-            nodes_by_address,
+            strides,
+            nodes,
         })
     }
 
@@ -167,44 +252,58 @@ impl RuleBasedPolicy {
 
     /// The node for an explicit address, if it exists.
     pub fn node_at(&self, address: &[usize]) -> Option<Node> {
-        self.nodes_by_address.get(address).copied()
-    }
-
-    /// Matches `fact` against `atom`, returning the variable binding if the
-    /// relation, arity and repeated-variable constraints are respected.
-    fn unify(atom: &Atom, fact: &Fact) -> Option<BTreeMap<Variable, Value>> {
-        if atom.relation != fact.relation || atom.arity() != fact.arity() {
+        if address.len() != self.schemes.len() {
             return None;
         }
-        let mut binding = BTreeMap::new();
-        for (&var, &value) in atom.args.iter().zip(fact.values.iter()) {
-            match binding.get(&var) {
-                Some(&existing) if existing != value => return None,
-                Some(_) => {}
-                None => {
-                    binding.insert(var, value);
+        let mut index = 0;
+        for ((&bucket, scheme), stride) in address.iter().zip(&self.schemes).zip(&self.strides) {
+            if bucket >= scheme.buckets() {
+                return None;
+            }
+            index += bucket * stride;
+        }
+        self.nodes.get(index).copied()
+    }
+
+    /// Pushes the table entry of every address that extends `offset` (the
+    /// rule's hashed dimensions, already added up) over all buckets of the
+    /// rule's `bucket*` dimensions from `dimension` on.
+    fn push_addresses(
+        &self,
+        rule: &CompiledRule,
+        dimension: usize,
+        offset: usize,
+        out: &mut Vec<Node>,
+    ) {
+        match rule.dimensions.get(dimension) {
+            None => out.push(self.nodes[offset]),
+            Some(Some(_)) => self.push_addresses(rule, dimension + 1, offset, out),
+            Some(None) => {
+                let stride = self.strides[dimension];
+                for bucket in 0..self.schemes[dimension].buckets() {
+                    self.push_addresses(rule, dimension + 1, offset + bucket * stride, out);
                 }
             }
         }
-        Some(binding)
     }
-}
 
-/// Enumerates the cartesian product `0..sizes[0] × 0..sizes[1] × …`.
-fn cartesian(sizes: &[usize]) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new()];
-    for &size in sizes {
-        let mut next = Vec::with_capacity(out.len() * size);
-        for prefix in &out {
-            for v in 0..size {
-                let mut item = prefix.clone();
-                item.push(v);
-                next.push(item);
+    /// Routes `fact` under one compiled rule, appending to `out`.
+    fn route_rule(&self, rule: &CompiledRule, fact: &Fact, out: &mut Vec<Node>) {
+        if !rule.matches(fact) {
+            return;
+        }
+        let mut offset = 0;
+        for (d, position) in rule.dimensions.iter().enumerate() {
+            if let Some(position) = *position {
+                match self.schemes[d].bucket_of(fact.values[position]) {
+                    Some(bucket) => offset += bucket * self.strides[d],
+                    // hash undefined on this value: the rule does not fire
+                    None => return,
+                }
             }
         }
-        out = next;
+        self.push_addresses(rule, 0, offset, out);
     }
-    out
 }
 
 impl DistributionPolicy for RuleBasedPolicy {
@@ -213,64 +312,23 @@ impl DistributionPolicy for RuleBasedPolicy {
     }
 
     fn nodes_for(&self, fact: &Fact) -> BTreeSet<Node> {
-        let mut nodes = BTreeSet::new();
-        for rule in &self.rules {
-            let Some(binding) = RuleBasedPolicy::unify(&rule.atom, fact) else {
-                continue;
-            };
-            // Determine, per dimension, the allowed buckets.
-            let mut allowed: Vec<Vec<usize>> = Vec::with_capacity(rule.address.len());
-            let mut matches = true;
-            for (term, scheme) in rule.address.iter().zip(self.schemes.iter()) {
-                match term {
-                    AddressTerm::HashOfVar(var) => {
-                        let value = binding[var];
-                        match scheme.bucket_of(value) {
-                            Some(b) => allowed.push(vec![b]),
-                            None => {
-                                // hash undefined on this value: rule does not fire
-                                matches = false;
-                                break;
-                            }
-                        }
-                    }
-                    AddressTerm::AnyBucket => allowed.push((0..scheme.buckets()).collect()),
-                }
-            }
-            if !matches {
-                continue;
-            }
-            for address in cartesian_choices(&allowed) {
-                if let Some(node) = self.nodes_by_address.get(&address) {
-                    nodes.insert(*node);
-                }
-            }
-        }
-        nodes
+        let mut nodes = Vec::new();
+        self.route(fact, &mut nodes);
+        nodes.into_iter().collect()
     }
-}
 
-/// Enumerates all choices of one element per inner vector.
-fn cartesian_choices(allowed: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new()];
-    for choices in allowed {
-        let mut next = Vec::with_capacity(out.len() * choices.len());
-        for prefix in &out {
-            for &v in choices {
-                let mut item = prefix.clone();
-                item.push(v);
-                next.push(item);
-            }
+    fn route(&self, fact: &Fact, out: &mut Vec<Node>) {
+        out.clear();
+        for rule in &self.compiled {
+            self.route_rule(rule, fact, out);
         }
-        out = next;
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cq::Instance;
+    use cq::{Instance, Value};
 
     fn rule(atom: Atom, address: Vec<AddressTerm>) -> DistributionRule {
         DistributionRule { atom, address }

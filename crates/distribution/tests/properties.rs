@@ -4,10 +4,13 @@
 //! single-threaded `distribute`, and a one-round-capped `MultiRoundEngine`
 //! must agree exactly with `OneRoundEngine`.
 
-use cq::{ConjunctiveQuery, Fact, Instance, Value};
+use std::collections::{BTreeMap, BTreeSet};
+
+use cq::{Atom, ConjunctiveQuery, Fact, Instance, Value, Variable};
 use distribution::{
-    DistributionPolicy, ExplicitPolicy, HypercubePolicy, MultiRoundEngine, Network, Node,
-    OneRoundEngine, RoundSchedule,
+    AddressTerm, Distribution, DistributionPolicy, DistributionRule, ExplicitPolicy, HashScheme,
+    HypercubePolicy, MultiRoundEngine, Network, Node, OneRoundEngine, RoundSchedule,
+    RuleBasedPolicy,
 };
 use proptest::prelude::*;
 
@@ -43,6 +46,130 @@ fn policy_zoo(
             Box::new(HypercubePolicy::uniform(q, buckets.max(1)).unwrap()),
         ),
     ]
+}
+
+/// `dist_P(I)` built the plain way, one `nodes_for` call and one insert
+/// per (fact, node): the reference the reshuffle paths are checked against.
+fn per_fact_distribution(policy: &dyn DistributionPolicy, i: &Instance) -> Distribution {
+    let mut dist = Distribution::empty(policy.network());
+    for fact in i.facts() {
+        for node in policy.nodes_for(fact) {
+            dist.assign(node, fact.clone());
+        }
+    }
+    dist
+}
+
+/// Raw draws for one address dimension: scheme kind, bucket count, seed.
+type RawScheme = (usize, usize, u64);
+/// Raw draws for one rule: relation, argument variables, address picks.
+type RawRule = (usize, Vec<usize>, Vec<usize>);
+/// Raw draws for one fact: relation and values.
+type RawFact = (usize, Vec<usize>);
+
+fn relation(index: usize) -> &'static str {
+    ["R", "S"][index % 2]
+}
+
+/// A rule-based policy from raw draws. Dimensions are total `Modulo`
+/// hashes or partial `IdentityOver` hashes defined on a window of the
+/// domain `d0…d5`, so some values fall outside them and their rules skip
+/// the fact. Rule atoms draw variables from `v0…v2`, so repeats are
+/// common; each address term hashes one of the atom's variables or is
+/// `bucket*` (any bucket).
+fn rule_policy(schemes: &[RawScheme], rules: &[RawRule]) -> RuleBasedPolicy {
+    let schemes: Vec<HashScheme> = schemes
+        .iter()
+        .map(|&(kind, buckets, seed)| {
+            if kind < 2 {
+                HashScheme::Modulo { buckets, seed }
+            } else {
+                let start = seed as usize % 6;
+                HashScheme::IdentityOver(
+                    (0..buckets)
+                        .map(|j| Value::indexed("d", start + j))
+                        .collect(),
+                )
+            }
+        })
+        .collect();
+    let rules = rules
+        .iter()
+        .map(|(rel, vars, picks)| {
+            let args: Vec<Variable> = vars.iter().map(|&v| Variable::indexed("v", v)).collect();
+            let address = picks[..schemes.len()]
+                .iter()
+                .map(|&pick| match args.get(pick) {
+                    Some(&var) => AddressTerm::HashOfVar(var),
+                    None => AddressTerm::AnyBucket,
+                })
+                .collect();
+            DistributionRule {
+                atom: Atom::new(relation(*rel), args),
+                address,
+            }
+        })
+        .collect();
+    RuleBasedPolicy::new(rules, schemes).expect("drawn policies are well-formed")
+}
+
+/// Facts over `R`/`S` of arity 1–3 with values from `d0…d5`.
+fn raw_instance(facts: &[RawFact]) -> Instance {
+    Instance::from_facts(facts.iter().map(|(rel, values)| {
+        Fact::new(
+            relation(*rel),
+            values.iter().map(|&v| Value::indexed("d", v)).collect(),
+        )
+    }))
+}
+
+/// `P(f)` under the rule semantics of Section 5.2, spelled out the plain
+/// way: unify the atom with the fact into a variable binding, collect the
+/// allowed buckets per dimension, and enumerate their cartesian product,
+/// naming every address's node after it.
+fn oracle_nodes(policy: &RuleBasedPolicy, fact: &Fact) -> BTreeSet<Node> {
+    let mut nodes = BTreeSet::new();
+    'rules: for rule in policy.rules() {
+        if rule.atom.relation != fact.relation || rule.atom.arity() != fact.arity() {
+            continue;
+        }
+        let mut binding = BTreeMap::new();
+        for (&var, &value) in rule.atom.args.iter().zip(&fact.values) {
+            if *binding.entry(var).or_insert(value) != value {
+                continue 'rules;
+            }
+        }
+        let mut addresses: Vec<Vec<usize>> = vec![Vec::new()];
+        for (term, scheme) in rule.address.iter().zip(policy.schemes()) {
+            let allowed: Vec<usize> = match term {
+                AddressTerm::HashOfVar(var) => match scheme.bucket_of(binding[var]) {
+                    Some(bucket) => vec![bucket],
+                    None => continue 'rules,
+                },
+                AddressTerm::AnyBucket => (0..scheme.buckets()).collect(),
+            };
+            addresses = addresses
+                .iter()
+                .flat_map(|prefix| {
+                    allowed.iter().map(move |&b| {
+                        let mut address = prefix.clone();
+                        address.push(b);
+                        address
+                    })
+                })
+                .collect();
+        }
+        for address in addresses {
+            let node = Node::from_address(&address);
+            assert_eq!(
+                policy.node_at(&address),
+                Some(node),
+                "node table at {address:?}"
+            );
+            nodes.insert(node);
+        }
+    }
+    nodes
 }
 
 /// A strategy for small instances over one binary relation `R`.
@@ -152,7 +279,8 @@ proptest! {
         workers in 2usize..5,
     ) {
         for (name, policy) in policy_zoo(&i, &q, nodes, buckets) {
-            let reference = policy.distribute(&i);
+            let reference = per_fact_distribution(policy.as_ref(), &i);
+            prop_assert_eq!(&reference, &policy.distribute(&i), "distribute diverged for {}", name);
             let parallel = policy.distribute_parallel(&i, workers);
             prop_assert_eq!(&reference, &parallel, "parallel distribute diverged for {}", name);
 
@@ -162,7 +290,7 @@ proptest! {
                 "streamed chunks diverged for {}", name
             );
             prop_assert_eq!(
-                reference.stats(&i), stream.stats(&i),
+                reference.stats(&i), stream.stats(),
                 "stream stats diverged for {}", name
             );
             for (node, chunk) in reference.chunks() {
@@ -222,6 +350,48 @@ proptest! {
             prop_assert_eq!(round.stats, one.stats);
             prop_assert_eq!(round.workers, one.workers);
             prop_assert_eq!(multi.total_comm_volume(), one.stats.total_assigned);
+        }
+    }
+
+    /// Compiled routing equals the unify-and-enumerate semantics of the
+    /// rules on random rule-based policies (repeated variables, `bucket*`
+    /// dimensions, partial hashes that skip facts), and the reshuffle's
+    /// count-based stats equal the stats of its materialized chunks.
+    #[test]
+    fn compiled_routing_matches_the_rule_semantics(
+        schemes in proptest::collection::vec((0usize..3, 1usize..4, 0u64..64), 1..4),
+        rules in proptest::collection::vec(
+            (
+                0usize..2,
+                proptest::collection::vec(0usize..3, 1..4),
+                proptest::collection::vec(0usize..4, 3..4),
+            ),
+            1..4,
+        ),
+        facts in proptest::collection::vec(
+            (0usize..2, proptest::collection::vec(0usize..6, 1..4)),
+            0..24,
+        ),
+    ) {
+        let policy = rule_policy(&schemes, &rules);
+        let i = raw_instance(&facts);
+        let mut routed = Vec::new();
+        for fact in i.facts() {
+            let expected = oracle_nodes(&policy, fact);
+            policy.route(fact, &mut routed);
+            routed.sort_unstable();
+            routed.dedup();
+            prop_assert_eq!(
+                &routed, &expected.iter().copied().collect::<Vec<_>>(),
+                "route diverged on {}", fact
+            );
+            prop_assert_eq!(&policy.nodes_for(fact), &expected);
+        }
+        for workers in [1, 3] {
+            let stream = policy.distribute_stream(&i, workers);
+            let materialized = stream.materialize();
+            prop_assert_eq!(stream.stats(), materialized.stats(&i), "workers={}", workers);
+            prop_assert_eq!(&materialized, &per_fact_distribution(&policy, &i));
         }
     }
 }

@@ -4,8 +4,10 @@
 //! export must round-trip, and the metrics registry must agree with what
 //! the trace records.
 //!
-//! The span recorder is process-global, so every traced test serializes on
-//! [`TRACE_GATE`]; untraced tests (stderr-tail surfacing) run freely.
+//! The span recorder is process-global and records every thread while a
+//! trace is active, so every test that runs an engine serializes on
+//! [`TRACE_GATE`] — traced tests through [`traced`], untraced ones through
+//! [`untraced`] — or its spans would land in another test's trace.
 
 use pcq::obs;
 use pcq::prelude::*;
@@ -63,6 +65,12 @@ fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<obs::TraceEvent>) {
     (result, obs::end_trace())
 }
 
+/// Runs `f` without a trace, but never while another test is tracing.
+fn untraced<R>(f: impl FnOnce() -> R) -> R {
+    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    f()
+}
+
 fn names(events: &[obs::TraceEvent]) -> Vec<&str> {
     events.iter().map(|e| e.name.as_str()).collect()
 }
@@ -107,6 +115,38 @@ fn in_memory_trace_nests_rounds_under_the_root_span() {
     for expected in ["distribute", "eval_chunk", "evaluate"] {
         assert!(all.contains(&expected), "missing {expected} span: {all:?}");
     }
+}
+
+#[test]
+fn in_memory_rounds_tag_their_one_round_spans_with_the_round() {
+    // A path of ten edges: closure by squaring needs five rounds, so a cap
+    // of three runs exactly three, each through the one shared transport.
+    let query = named_query("chain:2").unwrap();
+    let instance = parse_instance(
+        "R(a0, a1). R(a1, a2). R(a2, a3). R(a3, a4). R(a4, a5). \
+         R(a5, a6). R(a6, a7). R(a7, a8). R(a8, a9). R(a9, a10).",
+    )
+    .unwrap();
+    let policy = HypercubePolicy::uniform(&query, 2).unwrap();
+    let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
+        .rounds(3)
+        .feedback_into("R");
+
+    let (outcome, events) = traced(|| engine.evaluate(&query, &instance));
+    assert_eq!(outcome.rounds_run(), 3);
+    assert!(!outcome.converged);
+    let rounds: Vec<u64> = events
+        .iter()
+        .filter(|e| e.name == "one_round")
+        .map(|e| {
+            e.args
+                .iter()
+                .find(|(k, _)| k == "round")
+                .and_then(|(_, v)| v.parse().ok())
+                .expect("one_round spans carry their round")
+        })
+        .collect();
+    assert_eq!(rounds, [0, 1, 2]);
 }
 
 #[test]
@@ -247,8 +287,7 @@ fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
     let mut process = ProcessTransport::spawn_commands(worker_binary(), &faulty_argv(2, 0))
         .unwrap()
         .fault_tolerance(false);
-    let err = engine
-        .evaluate_via(&mut process, 0, &query, &instance)
+    let err = untraced(|| engine.evaluate_via(&mut process, 0, &query, &instance))
         .expect_err("a dead worker without fault tolerance must error")
         .to_string();
     assert!(err.contains("worker stderr"), "no stderr tail in: {err}");
@@ -257,8 +296,7 @@ fn a_dead_workers_stderr_surfaces_in_the_transport_error() {
     let mut socket = SocketTransport::spawn_commands(worker_binary(), &faulty_argv(2, 0))
         .unwrap()
         .fault_tolerance(false);
-    let err = engine
-        .evaluate_via(&mut socket, 0, &query, &instance)
+    let err = untraced(|| engine.evaluate_via(&mut socket, 0, &query, &instance))
         .expect_err("socket transport must surface the death too")
         .to_string();
     assert!(err.contains("worker stderr"), "no stderr tail in: {err}");
@@ -273,7 +311,7 @@ fn round_latency_quantiles_in_the_export_match_the_registry_exactly() {
     let engine = MultiRoundEngine::new(RoundSchedule::repeat(&policy))
         .rounds(6)
         .feedback_into("R");
-    let outcome = engine.evaluate(&query, &instance);
+    let outcome = untraced(|| engine.evaluate(&query, &instance));
     assert!(outcome.rounds_run() >= 2, "need several rounds of latency");
 
     let registry = engine.registry();
